@@ -7,7 +7,7 @@ walks the whole operational story:
 1. trains a small TP-GNN-SUM on a warm-up split,
 2. streams the held-out sessions through the cluster — events are
    routed by consistent hashing on the session id, queued per shard
-   with bounded backpressure, and folded by the raw-array fast lane,
+   with bounded backpressure, and applied by each shard's engine,
 3. resizes the cluster mid-feed: ``add_shard()`` + ``rebalance()``
    migrates live sessions over snapshot/restore while events are
    still arriving,
@@ -65,8 +65,9 @@ def main() -> None:
         for shard_id, session_ids in sorted(cluster.sessions().items()):
             print(f"  shard {shard_id}: {len(session_ids)} sessions")
 
-        # The tentpole property: sharding, queues, fast lane and the
-        # migration are all invisible to the model.
+        # The tentpole property: sharding, queues and the migration are
+        # all invisible to the model — every shard applies events with
+        # the lone engine's own code path.
         print("\n== cluster == single engine, exactly ==")
         engine = StreamingEngine(model)
         engine.ingest_many(feed)

@@ -281,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-shard queue overflow policy")
     loadtest.add_argument("--batch-size", type=int, default=64,
                           help="drain micro-batch size")
-    loadtest.add_argument("--no-fast-apply", dest="no_fast_apply",
-                          action="store_true",
-                          help="disable the raw-array fast lane")
     loadtest.add_argument("--no-baseline", dest="no_baseline",
                           action="store_true",
                           help="skip the single-engine comparison phase")
@@ -730,7 +727,6 @@ def _run_loadtest(args) -> int:
         queue_capacity=args.queue_capacity,
         backpressure=args.backpressure,
         batch_size=args.batch_size,
-        fast_apply=not args.no_fast_apply,
         baseline=not args.no_baseline,
         journal_dir=args.journal,
         journal_fsync=args.journal_fsync,

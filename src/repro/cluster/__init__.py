@@ -8,8 +8,6 @@ a consistent-hash front-end:
   consistent hashing with virtual nodes);
 * :mod:`repro.cluster.queues` — bounded per-shard ingest queues with
   block/shed/raise backpressure;
-* :mod:`repro.cluster.fastpath` — the bitwise-exact raw-array apply
-  kernel behind the shard drain loops;
 * :mod:`repro.cluster.worker` — one shard: engine + queue + drain loop;
 * :mod:`repro.cluster.cluster` — the front-end, live session migration
   (:meth:`~repro.cluster.cluster.ShardedCluster.rebalance`) and
@@ -23,7 +21,6 @@ a consistent-hash front-end:
 """
 
 from repro.cluster.cluster import RebalanceReport, ShardedCluster
-from repro.cluster.fastpath import FastObserver
 from repro.cluster.loadgen import (
     DEFAULT_BENCH_PATH,
     LoadtestConfig,
@@ -49,7 +46,6 @@ __all__ = [
     "BoundedQueue",
     "ClusterMetrics",
     "DEFAULT_BENCH_PATH",
-    "FastObserver",
     "HashRing",
     "LoadtestConfig",
     "LoadtestReport",

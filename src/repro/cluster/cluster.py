@@ -94,8 +94,6 @@ class ShardedCluster:
     breaker_threshold / breaker_cooldown:
         Per-shard circuit breaker; ``breaker_threshold=None`` disables
         breakers entirely.
-    fast_apply:
-        Allow the raw-array fast lane on eligible shards.
     replicas:
         Virtual nodes per shard on the hash ring.
     migration_retry:
@@ -129,7 +127,6 @@ class ShardedCluster:
         missing_features: str = "zeros",
         breaker_threshold: int | None = 5,
         breaker_cooldown: float = 30.0,
-        fast_apply: bool = True,
         replicas: int = 64,
         migration_retry: RetryPolicy | None = RetryPolicy(attempts=2),
         journal_dir: str | Path | None = None,
@@ -176,7 +173,6 @@ class ShardedCluster:
             backpressure=backpressure,
             batch_size=batch_size,
             threaded=(backend == "thread"),
-            fast_apply=fast_apply,
         )
         self._migration_retry = migration_retry
         self._shards: dict[int, ShardWorker] = {}

@@ -57,7 +57,6 @@ class LoadtestConfig:
     queue_capacity: int = 4096
     backpressure: str = "block"
     batch_size: int = 64
-    fast_apply: bool = True
     baseline: bool = True  # also run the single-engine comparison
     journal_dir: str | None = None  # per-shard write-ahead journals live here
     journal_fsync: str = "interval"  # fsync policy when journaling
@@ -221,7 +220,6 @@ def run_loadtest(
         backpressure=config.backpressure,
         batch_size=config.batch_size,
         max_sessions=config.sessions,
-        fast_apply=config.fast_apply,
         journal_dir=config.journal_dir,
         journal_fsync=config.journal_fsync,
     )

@@ -7,16 +7,11 @@ events, and — in the threaded backend — a daemon drain thread that
 applies micro-batches.  The serial backend drains inline on the
 submitting thread (deterministic; the property/chaos suites use it).
 
-Two apply lanes share the engine:
-
-* the **fast lane** — when the engine runs the default serving
-  configuration (``drop`` admission, no validator, no deadline) and the
-  model is inside :class:`~repro.cluster.fastpath.FastObserver`'s
-  envelope, an in-order event for a live session is applied by the
-  raw-array kernel (bitwise-identical results, ~5x throughput);
-* the **slow lane** — everything else (new sessions, buffered
-  admission, validators, exotic models) goes through
-  ``engine.ingest``, byte-for-byte the single-engine code path.
+Every dequeued event goes through ``engine.ingest`` — byte for byte
+the lone engine's code path (admission, journal, router, the raw-array
+apply kernel inside
+:meth:`~repro.serve.incremental.IncrementalClassifier.observe`), so a
+shard adds queueing and isolation, never a second way to apply.
 
 Failure isolation reuses the engine's circuit breaker: apply-path
 exceptions (including faults injected at ``cluster.shard<id>.apply``)
@@ -29,7 +24,6 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 
-from repro.cluster.fastpath import FastObserver
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.queues import BoundedQueue
 from repro.resilience.faults import inject
@@ -63,8 +57,6 @@ class ShardWorker:
     threaded:
         ``True`` runs a daemon drain thread; ``False`` drains inline on
         :meth:`submit` / :meth:`barrier` (deterministic).
-    fast_apply:
-        Allow the raw-array fast lane when eligible.
     """
 
     def __init__(
@@ -76,7 +68,6 @@ class ShardWorker:
         backpressure: str = "block",
         batch_size: int = 32,
         threaded: bool = False,
-        fast_apply: bool = True,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -93,34 +84,13 @@ class ShardWorker:
         self._apply_latency = metrics.apply_latency
         self._lock = threading.Lock()
         self._closed = False
-        self._fast = self._build_fast_lane() if fast_apply else None
-        # Cached counter handles: the fast lane updates the same engine
-        # counters the slow lane does, without property round-trips.
-        serve_counters = engine.metrics._counters
-        self._c_ingested = serve_counters["events_ingested"]
-        self._c_applied = serve_counters["events_applied"]
-        self._c_dropped = serve_counters["events_dropped"]
+        self._engine_rejections = engine.metrics.counter("breaker_rejections")
         self._thread: threading.Thread | None = None
         if threaded:
             self._thread = threading.Thread(
                 target=self._drain_loop, name=f"shard-{shard_id}", daemon=True
             )
             self._thread.start()
-
-    def _build_fast_lane(self) -> FastObserver | None:
-        engine = self.engine
-        if (
-            engine.validator is not None
-            or engine.deadline_seconds is not None
-            or engine.router.out_of_order != "drop"
-        ):
-            return None
-        return FastObserver.build(engine.classifier)
-
-    @property
-    def fast_lane(self) -> bool:
-        """Whether the raw-array kernel serves this shard's hot path."""
-        return self._fast is not None
 
     @property
     def threaded(self) -> bool:
@@ -169,7 +139,7 @@ class ShardWorker:
             self._gauge.set(len(self.queue))
 
     def _apply_one(self, event: StreamEvent) -> int:
-        """Apply one dequeued event through the fast or slow lane."""
+        """Apply one dequeued event through ``engine.ingest``."""
         engine = self.engine
         try:
             inject(self._fault_point)
@@ -180,63 +150,21 @@ class ShardWorker:
                 engine.breaker.record_failure()
             self._errors.inc()
             return 0
+        rejected = self._engine_rejections.value
         start = perf_counter()
         try:
-            if self._fast is not None:
-                applied = self._fast_apply(event)
-            else:
-                applied = engine.ingest(event)
+            applied = engine.ingest(event)
         except Exception:
             # engine.ingest already recorded the breaker failure on the
             # apply path; the shard stays up, the event is lost.
             self._errors.inc()
             return 0
         self._apply_latency.record(perf_counter() - start)
+        shed = self._engine_rejections.value - rejected
+        if shed:
+            self._rejections.inc(shed)
         self.applied_total += applied
         return applied
-
-    def _fast_apply(self, event: StreamEvent) -> int:
-        """The raw-array lane — mirrors ``engine.ingest`` exactly for
-        an in-order event of a live session, falls back otherwise."""
-        engine = self.engine
-        router = engine.router
-        entry = router._sessions.get(event.session_id)
-        if entry is None:
-            # New session: the slow lane creates it (LRU eviction,
-            # sessions_started accounting); later events go fast.
-            return engine.ingest(event)
-        if engine.journal is not None:
-            # Write-ahead on the fast lane too; the slow-lane branch
-            # above journals inside engine.ingest, so no double append.
-            engine.journal.append_event(event)
-        self._c_ingested.inc()
-        router._sessions.move_to_end(event.session_id)
-        if event.time < entry.last_applied:
-            router.stats.dropped += 1
-            self._c_dropped.inc()
-            return 0
-        entry.last_applied = event.time
-        router.stats.routed += 1
-        breaker = engine.breaker
-        if breaker is not None and not breaker.allow():
-            engine.metrics.breaker_rejections += 1
-            self._rejections.inc()
-            return 0
-        state = entry.payload
-        if state.label is None and event.label is not None:
-            state.label = event.label
-        try:
-            self._fast.observe(
-                state, event.src, event.dst, event.time, event.node_features
-            )
-        except Exception:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        self._c_applied.inc()
-        return 1
 
     # ------------------------------------------------------------------
     # Liveness
@@ -320,7 +248,7 @@ class ShardWorker:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Engine counters + shard-local queue/breaker/lane state."""
+        """Engine counters + shard-local queue/breaker state."""
         engine = self.engine
         info: dict = dict(engine.metrics.counters())
         info.update(
@@ -329,7 +257,6 @@ class ShardWorker:
             errors=self._errors.value,
             applied=self.applied_total,
             live_sessions=len(engine.router),
-            fast_lane=self.fast_lane,
             breaker_state=None if engine.breaker is None else engine.breaker.state,
         )
         return info
@@ -352,5 +279,5 @@ class ShardWorker:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardWorker(shard={self.shard_id!r}, queued={len(self.queue)}, "
-            f"applied={self.applied_total}, fast={self.fast_lane})"
+            f"applied={self.applied_total})"
         )

@@ -8,10 +8,10 @@ global edge ordering — the paper's answer to limitation 3.
 
 The GRU is a recurrence over the edge sequence, so the extractor also
 exposes an incremental API (:meth:`GlobalTemporalExtractor.init_state`,
-:meth:`GlobalTemporalExtractor.step`) used by the online-serving engine
-in :mod:`repro.serve`; the batch :meth:`forward` is a fold of
-:meth:`step` over the chronological edge embeddings, keeping streaming
-and batch inference on one code path.
+:meth:`GlobalTemporalExtractor.step`); the batch :meth:`forward` is a
+fold of :meth:`step` over the chronological edge embeddings, and the
+online-serving kernel in :mod:`repro.serve.incremental` runs the same
+step on raw arrays, tested bit-for-bit against it.
 """
 
 from __future__ import annotations
@@ -104,18 +104,6 @@ class GlobalTemporalExtractor(Module):
     def init_state(self) -> ExtractorState:
         """Fresh per-session GRU state (zero hidden, no edges seen)."""
         return ExtractorState(hidden=Tensor(np.zeros((1, self.hidden_size))))
-
-    def edge_embedding(self, src_embedding: Tensor, dst_embedding: Tensor) -> Tensor:
-        """Single-edge view of :meth:`edge_embeddings` — shape ``(1, k)``.
-
-        Aggregates the two endpoint embeddings (each ``(k,)``) with the
-        configured EdgeAgg method; same math as the batch path.
-        """
-        if self.aggregator_name == "average":
-            row = (src_embedding + dst_embedding) * 0.5
-        else:
-            row = self._aggregate(src_embedding, dst_embedding)
-        return row.reshape(1, row.shape[-1])
 
     def step(self, state: ExtractorState, edge_embedding: Tensor) -> None:
         """Advance the session GRU by one ``(1, k)`` edge embedding."""

@@ -24,11 +24,12 @@ Two execution engines share the recurrence:
   per-edge recurrence would have shown it, so the result matches the
   fold to machine precision (property-tested).
 * ``"per-edge"`` — the literal fold of :meth:`step` over the
-  chronological edges: the reference semantics and the streaming path.
+  chronological edges: the reference semantics.  The online-serving
+  kernel (:mod:`repro.serve.incremental`) runs the same step on raw
+  arrays and is tested bit-for-bit against it.
 
 Both updaters are *recurrences over the edge sequence*, so each exposes
-an incremental API used by the online-serving engine
-(:mod:`repro.serve`):
+an incremental API:
 
 * :meth:`~TemporalPropagationBase.init_state` — per-session state from
   the raw node features;
@@ -170,18 +171,6 @@ class TemporalPropagationBase(Module):
     # ------------------------------------------------------------------
     def init_state(self, features: np.ndarray) -> PropagationState:
         """Fresh per-session state from a ``(n, q_raw)`` feature matrix."""
-        raise NotImplementedError
-
-    def add_nodes(self, state: PropagationState, features: np.ndarray) -> None:
-        """Append newly-observed nodes (rows of raw features) to ``state``."""
-        raise NotImplementedError
-
-    def set_node(self, state: PropagationState, node: int, features: np.ndarray) -> None:
-        """(Re-)materialize one node's state from its raw features.
-
-        Used by the streaming engine when a node's features arrive
-        after its index was reserved by a placeholder row.
-        """
         raise NotImplementedError
 
     def step(self, state: PropagationState, edge: TemporalEdge) -> None:
@@ -460,29 +449,6 @@ class TemporalPropagationSum(TemporalPropagationBase):
             time_touched=np.zeros(n, dtype=bool),
         )
 
-    def add_nodes(self, state: SumPropagationState, features: np.ndarray) -> None:
-        """Append newly-observed nodes to a SUM state."""
-        encoded = self._encode_features(features)
-        added = encoded.shape[0]
-        state.node_state = ops.concat([state.node_state, encoded], axis=0)
-        if state.time_state is not None:
-            state.time_state = ops.concat(
-                [state.time_state, Tensor(np.zeros((added, self.time_dim)))], axis=0
-            )
-        state.time_touched = np.concatenate(
-            [state.time_touched, np.zeros(added, dtype=bool)]
-        )
-
-    def set_node(self, state: SumPropagationState, node: int, features: np.ndarray) -> None:
-        """Overwrite one node's SUM state with freshly-encoded features."""
-        encoded = self._encode_features(features)
-        state.node_state = self._write_rows(state.node_state, node, encoded[0])
-        if state.time_state is not None:
-            state.time_state = self._write_rows(
-                state.time_state, node, Tensor(np.zeros(self.time_dim))
-            )
-        state.time_touched[node] = False
-
     def step(self, state: SumPropagationState, edge: TemporalEdge) -> None:
         """One SUM update (Eqs. 3-4) along ``edge``."""
         if state.origin is None:
@@ -602,16 +568,6 @@ class TemporalPropagationGRU(TemporalPropagationBase):
     def init_state(self, features: np.ndarray) -> GruPropagationState:
         """Fresh GRU state: the encoded ``(n, q)`` feature matrix."""
         return GruPropagationState(node_state=self._encode_features(features))
-
-    def add_nodes(self, state: GruPropagationState, features: np.ndarray) -> None:
-        """Append newly-observed nodes to a GRU state."""
-        encoded = self._encode_features(features)
-        state.node_state = ops.concat([state.node_state, encoded], axis=0)
-
-    def set_node(self, state: GruPropagationState, node: int, features: np.ndarray) -> None:
-        """Overwrite one node's GRU state with freshly-encoded features."""
-        encoded = self._encode_features(features)
-        state.node_state = self._write_rows(state.node_state, node, encoded[0])
 
     def step(self, state: GruPropagationState, edge: TemporalEdge) -> None:
         """One GRU update (Eq. 6) along ``edge``."""

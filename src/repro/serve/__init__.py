@@ -23,7 +23,7 @@ from repro.serve.engine import StreamingEngine
 from repro.serve.events import StreamEvent, dataset_to_feed, iter_feed, session_events
 from repro.serve.recovery import RecoveryReport, recover_engine
 from repro.serve.incremental import READ_MODES, IncrementalClassifier
-from repro.serve.metrics import LatencyReservoir, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.router import (
     OUT_OF_ORDER_POLICIES,
     OutOfOrderError,
@@ -43,7 +43,6 @@ __all__ = [
     "IncrementalClassifier",
     "READ_MODES",
     "ServeMetrics",
-    "LatencyReservoir",
     "SessionRouter",
     "SessionState",
     "RouterStats",

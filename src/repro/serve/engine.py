@@ -140,6 +140,24 @@ class StreamingEngine:
             raise ValueError(f"deadline_seconds must be positive, got {deadline_seconds}")
         self.classifier = IncrementalClassifier(model, missing_features=missing_features)
         self.metrics = metrics if metrics is not None else ServeMetrics()
+        # Counter handles for the hot paths: one ``inc()`` per event
+        # instead of a property get/set round-trip.
+        counter = self.metrics.counter
+        self._ingested = counter("events_ingested")
+        self._applied = counter("events_applied")
+        self._quarantined = counter("events_quarantined")
+        self._started = counter("sessions_started")
+        self._evicted = counter("sessions_evicted")
+        self._rejections = counter("breaker_rejections")
+        self._served = counter("predictions_served")
+        self._step_latency = self.metrics.step_latency
+        self._drop_counters = (
+            counter("events_dropped"),
+            counter("events_late_dropped"),
+            counter("events_overflow_dropped"),
+        )
+        # Router drop counts already folded into ``_drop_counters``.
+        self._drops_seen = (0, 0, 0)
         self.learner = None
         if learner is not None:
             self.attach_learner(learner)
@@ -160,6 +178,7 @@ class StreamingEngine:
             max_buffered=max_buffered,
             on_evict=self._on_evict,
         )
+        self._buffering = out_of_order == "buffer"
 
     @staticmethod
     def _build_validator(validate, max_node: int | None):
@@ -222,11 +241,11 @@ class StreamingEngine:
         return self.learner.observe(graph)
 
     def _new_session(self, session_id: str) -> SessionState:
-        self.metrics.sessions_started += 1
+        self._started.inc()
         return self.classifier.new_session(session_id)
 
     def _on_evict(self, session_id: str, state: SessionState) -> None:
-        self.metrics.sessions_evicted += 1
+        self._evicted.inc()
         if self._user_on_evict is not None:
             self._user_on_evict(session_id, state)
 
@@ -241,11 +260,11 @@ class StreamingEngine:
         validator configured, a quarantined event is counted and
         returns 0 without touching the router.
         """
-        self.metrics.events_ingested += 1
+        self._ingested.inc()
         if self.validator is not None:
             admitted = self.validator.admit(event)
             if admitted is None:
-                self.metrics.events_quarantined += 1
+                self._quarantined.inc()
                 return 0
             event = admitted
         if self.journal is not None:
@@ -254,26 +273,29 @@ class StreamingEngine:
             # this same deterministic path, so drops/buffering recur
             # identically and recovery is bit-exact.
             self.journal.append_event(event)
-        before_dropped = self.router.stats.dropped
-        before_late = self.router.stats.late_dropped
-        before_overflow = self.router.stats.buffer_overflow_dropped
         deliveries = self.router.route(event)
-        self.metrics.events_dropped += self.router.stats.dropped - before_dropped
-        self.metrics.events_late_dropped += self.router.stats.late_dropped - before_late
-        self.metrics.events_overflow_dropped += (
-            self.router.stats.buffer_overflow_dropped - before_overflow
-        )
-        applied = 0
+        if not deliveries or self._buffering:
+            # Under drop/raise an event is delivered or dropped, never
+            # both; only the buffer policy can release and drop at once.
+            self._count_drops()
         for state, ready in deliveries:
             self._apply(state, ready)
-            applied += 1
-        return applied
+        return len(deliveries)
+
+    def _count_drops(self) -> None:
+        """Fold the router's drop counts that moved into the metrics."""
+        stats = self.router.stats
+        drops = (stats.dropped, stats.late_dropped, stats.buffer_overflow_dropped)
+        if drops != self._drops_seen:
+            for counter, now, seen in zip(self._drop_counters, drops, self._drops_seen):
+                counter.inc(now - seen)
+            self._drops_seen = drops
 
     def _apply(self, state: SessionState, event: StreamEvent) -> None:
         if self.breaker is not None and not self.breaker.allow():
             # Load shedding: while the circuit is open the stream keeps
             # flowing, but updates are skipped and counted.
-            self.metrics.breaker_rejections += 1
+            self._rejections.inc()
             return
         if state.label is None and event.label is not None:
             state.label = event.label
@@ -289,8 +311,9 @@ class StreamingEngine:
                     self.breaker.record_failure()
                 raise
             elapsed = _time.perf_counter() - start
-            self.metrics.observe_step(elapsed)
-        if self._deadline_breached(elapsed):
+            self._applied.inc()
+            self._step_latency.record(elapsed)
+        if self.deadline_seconds is not None and self._deadline_breached(elapsed):
             return
         if self.breaker is not None:
             self.breaker.record_success()
@@ -342,7 +365,7 @@ class StreamingEngine:
         if state is None:
             raise KeyError(f"unknown session {session_id!r} (never seen or evicted)")
         if self.breaker is not None and not self.breaker.allow():
-            self.metrics.breaker_rejections += 1
+            self._rejections.inc()
             from repro.resilience.errors import CircuitOpenError
 
             raise CircuitOpenError(
@@ -365,7 +388,7 @@ class StreamingEngine:
             )
         if self.breaker is not None:
             self.breaker.record_success()
-        self.metrics.predictions_served += 1
+        self._served.inc()
         return probability
 
     def predict_many(
@@ -386,7 +409,7 @@ class StreamingEngine:
             states.append(state)
         with telemetry.span("serve_predict_many"):
             logits = self.classifier.logits_online(states)
-        self.metrics.predictions_served += len(ids)
+        self._served.inc(len(ids))
         probabilities = 1.0 / (1.0 + np.exp(-logits))
         return dict(zip(ids, (float(p) for p in probabilities)))
 
@@ -511,11 +534,20 @@ class StreamingEngine:
                 stored=stored_version,
                 current=current_version,
             )
-        model_state = {
-            key[len("model."):]: value
-            for key, value in arrays.items()
-            if key.startswith("model.")
-        }
+        # One pass over the archive keys: ``model.*``, ``learner.*`` and
+        # ``session.<index>.*`` grouped by their first component(s).
+        model_state: dict[str, np.ndarray] = {}
+        learner_state: dict[str, np.ndarray] = {}
+        session_arrays: dict[str, dict[str, np.ndarray]] = {}
+        for key, value in arrays.items():
+            section, _, rest = key.partition(".")
+            if section == "model":
+                model_state[rest] = value
+            elif section == "learner":
+                learner_state[rest] = value
+            elif section == "session":
+                index, _, name = rest.partition(".")
+                session_arrays.setdefault(index, {})[name] = value
         if load_weights:
             model.load_state_dict(model_state)
         config = meta.get("config", {})
@@ -533,13 +565,7 @@ class StreamingEngine:
         engine.metrics.load_counters(meta.get("metrics", {}))
         engine._journal_anchor = int(meta.get("journal_seq", 0) or 0)
         for index, session_id in enumerate(meta.get("sessions", [])):
-            prefix = f"session.{index}."
-            session_arrays = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            state = engine.classifier.restore(session_id, session_arrays)
+            state = engine.classifier.restore(session_id, session_arrays.get(str(index), {}))
             evicted = engine.adopt_session(session_id, state)
             engine.metrics.sessions_restore_evicted += len(evicted)
         if learner is not None:
@@ -547,13 +573,7 @@ class StreamingEngine:
                 raise ValueError(
                     f"{path} carries no learner state but a learner was passed"
                 )
-            learner.restore(
-                {
-                    key[len("learner."):]: value
-                    for key, value in arrays.items()
-                    if key.startswith("learner.")
-                }
-            )
+            learner.restore(learner_state)
             engine.attach_learner(learner)
         return engine
 

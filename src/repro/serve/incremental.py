@@ -23,6 +23,18 @@ Two read modes are offered:
   final node states).  O(m) in the extractor but still skips the O(m)
   propagation replay.
 
+The write path and the online read run on raw ndarrays, not Tensors:
+per event the model does a few dozen tiny array ops, so autograd-node
+allocation and op dispatch would cost several times the arithmetic.
+The kernel repeats the Tensor recurrence's op sequence (propagation
+``step``, endpoint ``node_embedding``, EdgeAgg, extractor ``step``):
+every matmul at the Tensor path's shape, so the same BLAS call runs,
+and every elementwise op on the same operands, so every result is
+bitwise identical to the Tensor fold kept as the test oracle
+(``tests/serve/oracle.py``, pinned by ``tests/serve/test_kernel_oracle.py``).
+Parameters are read through ``.data`` on every call: optimizers update
+them in place and ``load_state_dict`` rebinds them.
+
 The equivalence suite (``tests/serve/test_equivalence.py``) pins
 ``"exact"`` streaming == batch to ≤ 1e-8, including across
 :meth:`snapshot` / :meth:`restore` round-trips.
@@ -34,10 +46,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.extractor import GlobalTemporalExtractor
 from repro.core.model import TPGNN
+from repro.core.propagation import TemporalPropagationGRU, TemporalPropagationSum
 from repro.graph.edge import TemporalEdge
 from repro.serve.state import SessionState
 from repro.tensor import Tensor, no_grad
+from repro.tensor.ops import _stable_sigmoid
 
 READ_MODES = ("online", "exact")
 
@@ -46,19 +61,71 @@ _FEATURE_SEEN_KEY = "feature_seen"
 _LABEL_KEY = "label"
 
 
+def _weighted_l2(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
+    diff = h_u - h_v
+    return diff * diff
+
+
+#: Raw twins of :data:`repro.core.edge_agg.EDGE_AGGREGATORS` — each is
+#: elementwise or a concatenation, so it matches the Tensor op bit for bit.
+_EDGE_AGGREGATORS = {
+    "average": lambda h_u, h_v: (h_u + h_v) * 0.5,
+    "hadamard": lambda h_u, h_v: h_u * h_v,
+    "weighted_l1": lambda h_u, h_v: np.abs(h_u - h_v),
+    "weighted_l2": _weighted_l2,
+    "activation": lambda h_u, h_v: np.tanh(h_u + h_v),
+    "concatenation": lambda h_u, h_v: np.concatenate([h_u, h_v], axis=0),
+}
+
+
+def _linear(layer, x: np.ndarray) -> np.ndarray:
+    """Raw :meth:`repro.nn.Linear.forward`."""
+    out = x @ layer.weight.data
+    if layer.bias is not None:
+        out = out + layer.bias.data
+    return out
+
+
+def _gru_cell(cell, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Raw :meth:`repro.nn.GRUCell.forward` of one ``(1, in)`` row — ``(H,)``.
+
+    The matmuls run at the Tensor cell's ``(1, ·)`` shapes, so the same
+    BLAS call produces the same bits; the elementwise rest runs on 1-d
+    rows, which is cheaper than broadcasting ``(1, ·)`` blocks and, op
+    by op, element by element, the same arithmetic.  The z and r gates
+    share one sigmoid over the ``2H`` slice for the same reason.
+    """
+    H = cell.hidden_size
+    gates_x = (x @ cell.weight_ih.data)[0] + cell.bias.data
+    gates_h = (h @ cell.weight_hh.data)[0]
+    zr = _stable_sigmoid(gates_x[: 2 * H] + gates_h[: 2 * H])
+    z = zr[:H]
+    n = np.tanh(gates_x[2 * H :] + zr[H:] * gates_h[2 * H :])
+    return z * h[0] + (1.0 - z) * n
+
+
+def _time2vec(encoder, delta: float) -> np.ndarray:
+    """Raw :meth:`repro.nn.Time2Vec.forward` of one scalar — ``(d_t,)``."""
+    trend = delta * encoder.linear_weight.data + encoder.linear_bias.data
+    periodic = np.sin(delta * encoder.periodic_weight.data + encoder.periodic_bias.data)
+    return np.concatenate([trend, periodic])
+
+
 class IncrementalClassifier:
     """Streaming wrapper around a (trained) :class:`TPGNN` model.
 
     The model's parameters are shared, never copied: one classifier can
     serve any number of concurrent sessions, each represented by a
-    :class:`SessionState`.  All methods run under ``no_grad`` — serving
-    never builds autograd graphs.
+    :class:`SessionState`.  Serving never builds autograd graphs.
 
     Parameters
     ----------
     model:
-        A TP-GNN instance (SUM or GRU updater).  Updaters without the
-        incremental API (e.g. the ``rand`` ablation) are rejected.
+        A TP-GNN instance: SUM (any stabilizer) or GRU updater, any
+        ``time_dim``, any EdgeAgg method, the GRU global extractor.
+        Anything else (e.g. a transformer extractor swapped in by
+        :func:`~repro.core.make_tpgnn_with_extractor`) raises
+        ``TypeError``.
     missing_features:
         What to do when an edge endpoint is new to its session and the
         event carries no features for it: ``"raise"`` (default —
@@ -79,10 +146,23 @@ class IncrementalClassifier:
                 f"unknown missing_features policy {missing_features!r}; "
                 f"choose from {self.MISSING_FEATURE_POLICIES}"
             )
+        propagation, extractor = model.propagation, model.extractor
+        if type(propagation) not in (TemporalPropagationSum, TemporalPropagationGRU):
+            raise TypeError(
+                "serving needs the SUM or GRU propagation updater, got "
+                f"{type(propagation).__name__}"
+            )
+        if type(extractor) is not GlobalTemporalExtractor:
+            raise TypeError(
+                "serving needs the GRU global temporal extractor, got "
+                f"{type(extractor).__name__}"
+            )
         self.model = model
         self.missing_features = missing_features
-        self.propagation = model.propagation
-        self.extractor = model.extractor
+        self.propagation = propagation
+        self.extractor = extractor
+        self._is_sum = type(propagation) is TemporalPropagationSum
+        self._aggregate = _EDGE_AGGREGATORS[extractor.aggregator_name]
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -108,15 +188,24 @@ class IncrementalClassifier:
             state.feature_seen.update(range(features.shape[0]))
         return state
 
+    def _encode(self, features) -> np.ndarray:
+        """Raw feature encoding (paper Eq. 1) of a ``(rows, q_raw)`` block."""
+        propagation = self.propagation
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if features.shape[1] != propagation.in_features:
+            raise ValueError(
+                f"expected features of width {propagation.in_features}, "
+                f"got {features.shape[1]}"
+            )
+        return _linear(propagation.encoder.projection, features)
+
     def _materialize(
         self,
         state: SessionState,
         node: int,
         node_features: Mapping[int, np.ndarray] | None,
     ) -> None:
-        """Ensure ``node`` has a real (feature-encoded) state row."""
-        if node in state.feature_seen:
-            return
+        """Give ``node`` a real (feature-encoded) state row."""
         features = None if node_features is None else node_features.get(node)
         if features is None:
             if self.missing_features == "raise":
@@ -125,16 +214,30 @@ class IncrementalClassifier:
                     "carries no features for it"
                 )
             features = np.zeros(self.propagation.in_features)
+        prop_state = state.prop_state
         # Reserve placeholder rows for any ids between the current size
         # and the new node; they are overwritten if their features ever
         # arrive, and are never read as edge endpoints before that.
-        missing = node + 1 - state.prop_state.num_nodes
+        missing = node + 1 - prop_state.num_nodes
         if missing > 0:
-            self.propagation.add_nodes(
-                state.prop_state,
-                np.zeros((missing, self.propagation.in_features)),
+            placeholders = self._encode(np.zeros((missing, self.propagation.in_features)))
+            prop_state.node_state = Tensor(
+                np.concatenate([prop_state.node_state.data, placeholders], axis=0)
             )
-        self.propagation.set_node(state.prop_state, node, np.asarray(features, dtype=np.float64))
+            if self._is_sum:
+                if prop_state.time_state is not None:
+                    memory = prop_state.time_state.data
+                    prop_state.time_state = Tensor(
+                        np.concatenate([memory, np.zeros((missing, memory.shape[1]))], axis=0)
+                    )
+                prop_state.time_touched = np.concatenate(
+                    [prop_state.time_touched, np.zeros(missing, dtype=bool)]
+                )
+        prop_state.node_state.data[node] = self._encode(features)[0]
+        if self._is_sum:
+            if prop_state.time_state is not None:
+                prop_state.time_state.data[node] = 0.0
+            prop_state.time_touched[node] = False
         state.feature_seen.add(node)
 
     # ------------------------------------------------------------------
@@ -148,20 +251,55 @@ class IncrementalClassifier:
     ) -> None:
         """Ingest one temporal edge into the session — O(1) work.
 
-        Advances the propagation recurrence, embeds the edge from the
-        now-current endpoint states, and steps the extractor GRU.
+        Advances the propagation recurrence (Eqs. 3-6), embeds the edge
+        from the now-current endpoint states, and steps the extractor
+        GRU (Eqs. 7-10).
         """
-        edge = TemporalEdge(int(edge[0]), int(edge[1]), float(edge[2]))
-        with no_grad():
-            self._materialize(state, edge.src, node_features)
-            self._materialize(state, edge.dst, node_features)
-            self.propagation.step(state.prop_state, edge)
-            row = self.extractor.edge_embedding(
-                self.propagation.node_embedding(state.prop_state, edge.src),
-                self.propagation.node_embedding(state.prop_state, edge.dst),
-            )
-            self.extractor.step(state.ext_state, row)
-        state.edges.append(edge)
+        src, dst, time = int(edge[0]), int(edge[1]), float(edge[2])
+        seen = state.feature_seen
+        if src not in seen:
+            self._materialize(state, src, node_features)
+        if dst not in seen:
+            self._materialize(state, dst, node_features)
+        propagation = self.propagation
+        prop_state = state.prop_state
+        if prop_state.origin is None:
+            prop_state.origin = time
+        node_state = prop_state.node_state.data
+        encoder = propagation.time_encoder
+        f_t = None if encoder is None else _time2vec(encoder, time - prop_state.origin)
+        if self._is_sum:
+            merged = node_state[src] + node_state[dst]
+            stabilizer = propagation.stabilizer
+            if stabilizer == "bounded":
+                merged = np.tanh(merged)
+            elif stabilizer == "average":
+                merged = merged * 0.5
+            node_state[dst] = merged
+            if f_t is None:
+                endpoints = np.concatenate([node_state[src], node_state[dst]])
+            else:
+                memory = prop_state.time_state.data
+                memory[dst] = f_t + memory[dst]
+                prop_state.time_touched[dst] = True
+                endpoints = np.concatenate(
+                    [node_state[src], memory[src], node_state[dst], memory[dst]]
+                )
+        else:
+            message = node_state[src] if f_t is None else np.concatenate([node_state[src], f_t])
+            target = node_state[dst].reshape(1, propagation.hidden_size)
+            node_state[dst] = _gru_cell(propagation.cell, message.reshape(1, -1), target)
+            endpoints = np.concatenate([node_state[src], node_state[dst]])
+        prop_state.updates += 1
+        # Both endpoint embeddings (``node_embedding``'s tanh) in one op.
+        embeddings = np.tanh(endpoints)
+        width = embeddings.shape[0] // 2
+        row = self._aggregate(embeddings[:width], embeddings[width:])
+        ext_state = state.ext_state
+        hidden = _gru_cell(self.extractor.gru.cell, row.reshape(1, -1), ext_state.hidden.data)
+        ext_state.hidden = Tensor(hidden.reshape(1, -1))
+        ext_state.steps += 1
+        state.edges.append(TemporalEdge(src, dst, time))
 
     # ------------------------------------------------------------------
     # Read path
@@ -188,6 +326,8 @@ class IncrementalClassifier:
 
     def logit(self, state: SessionState, mode: str = "online") -> float:
         """Raw classification logit of the session's current state."""
+        if mode == "online":
+            return float(_linear(self.model.classifier, state.ext_state.hidden.data)[0, 0])
         with no_grad():
             return float(self.model.logit(self.graph_embedding(state, mode)).item())
 
@@ -204,13 +344,8 @@ class IncrementalClassifier:
         """
         if not states:
             return np.zeros(0)
-        stacked = np.stack(
-            [s.ext_state.hidden.data.reshape(self.extractor.hidden_size) for s in states],
-            axis=0,
-        )
-        with no_grad():
-            logits = self.model.logits(Tensor(stacked))
-        return logits.data.copy()
+        stacked = np.concatenate([s.ext_state.hidden.data for s in states], axis=0)
+        return _linear(self.model.classifier, stacked).reshape(len(states))
 
     # ------------------------------------------------------------------
     # Snapshot / restore

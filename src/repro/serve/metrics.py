@@ -5,17 +5,14 @@ live in a :class:`~repro.telemetry.MetricRegistry` (private per engine
 by default; pass a shared registry to aggregate several engines into
 one export).  The original attribute API — ``metrics.events_ingested``,
 ``metrics.step_latency.percentile(99)`` — is preserved exactly, so the
-engine, its checkpoints and existing callers are unchanged.
-
-:class:`LatencyReservoir` is kept only as a deprecated alias of the
-shared :class:`~repro.telemetry.Histogram`; the bespoke ring-buffer and
-quantile code it used to carry now has a single implementation in
-:mod:`repro.telemetry.registry`.
+engine, its checkpoints and existing callers are unchanged.  Hot paths
+take the :class:`~repro.telemetry.Counter` handles once via
+:meth:`ServeMetrics.counter` and call ``inc()`` directly.
 """
 
 from __future__ import annotations
 
-from repro.telemetry import Histogram, MetricRegistry
+from repro.telemetry import Counter, Histogram, MetricRegistry
 
 #: Lifecycle counters exported by the engine, in render order.
 _COUNTER_NAMES = (
@@ -32,16 +29,6 @@ _COUNTER_NAMES = (
     "deadline_breaches",
     "breaker_rejections",
 )
-
-
-class LatencyReservoir(Histogram):
-    """Deprecated: use :class:`repro.telemetry.Histogram`.
-
-    The serving layer's original fixed-size latency ring buffer is now
-    the telemetry histogram (same ``record``/``values``/``percentile``
-    surface plus exact running aggregates); this alias remains for
-    import compatibility only.
-    """
 
 
 def _counter_property(name: str) -> property:
@@ -104,6 +91,10 @@ class ServeMetrics:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def counter(self, name: str) -> Counter:
+        """The registry counter behind attribute ``name`` (for hot paths)."""
+        return self._counters[name]
+
     def observe_step(self, seconds: float) -> None:
         """Record one applied event and its step latency."""
         self._counters["events_applied"].inc()

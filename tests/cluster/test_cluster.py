@@ -139,6 +139,27 @@ def test_shard_breaker_isolates_failures():
                 assert np.isfinite(cluster.predict(session_id))
 
 
+def test_shed_writes_count_in_cluster_breaker_rejections():
+    # Every write an open breaker sheds — for new and live sessions
+    # alike — shows in the shard's cluster counter, which mirrors the
+    # engine's own ``breaker_rejections``.
+    feed = feed_for(6)
+    with ShardedCluster(
+        make_model(), n_shards=1, backend="serial",
+        breaker_threshold=2, breaker_cooldown=1e9,
+    ) as cluster:
+        shard_id = cluster.shard_ids[0]
+        plan = FaultPlan(seed=0).add("serve.apply", kind="raise", times=2)
+        with activate(plan):
+            cluster.ingest_many(feed)
+            cluster.barrier()
+        engine = cluster._shards[shard_id].engine
+        assert engine.breaker.state == "open"
+        shed = engine.metrics.breaker_rejections
+        assert shed == len(feed) - 2 - engine.metrics.events_dropped
+        assert cluster.metrics.breaker_rejections(shard_id).value == shed
+
+
 def test_worker_fault_without_breaker_counts_errors():
     feed = feed_for(4)
     with ShardedCluster(

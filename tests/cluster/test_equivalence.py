@@ -1,7 +1,7 @@
 """Property: the cluster's predictions == a lone engine's, exactly.
 
 The tentpole guarantee of :mod:`repro.cluster`: sharding, queueing,
-the raw-array fast lane, and live migration are all invisible to the
+and live migration are all invisible to the
 model — every session's prediction is bit-for-bit the number a single
 :class:`StreamingEngine` produces for the same feed.  No tolerances:
 ``==`` on floats, including across a forced mid-feed ``rebalance()``
@@ -91,27 +91,6 @@ def test_equivalence_across_shard_retirement(updater):
         cluster.flush()
         for session_id in session_ids:
             assert cluster.predict(session_id) == expected[session_id]
-
-
-def test_fast_lane_and_slow_lane_agree():
-    """The raw-array kernel and engine.ingest produce identical bits."""
-    model = make_model("sum")
-    feed = build_feed(8, seed=53)
-    session_ids = sorted({event.session_id for event in feed})
-    scores = {}
-    for fast_apply in (True, False):
-        with ShardedCluster(
-            model, n_shards=2, backend="serial", fast_apply=fast_apply
-        ) as cluster:
-            assert any(
-                worker.fast_lane for worker in cluster._shards.values()
-            ) == fast_apply
-            cluster.ingest_many(feed)
-            cluster.flush()
-            scores[fast_apply] = {
-                sid: cluster.predict(sid) for sid in session_ids
-            }
-    assert scores[True] == scores[False]
 
 
 def test_exact_mode_also_matches():

@@ -5,13 +5,13 @@ import pytest
 
 from repro.serve import (
     IncrementalClassifier,
-    LatencyReservoir,
     ServeMetrics,
     StreamEvent,
     StreamingEngine,
     dataset_to_feed,
     session_events,
 )
+from repro.telemetry import Histogram
 from repro.tensor import no_grad
 from tests.serve.conftest import make_model, random_ctdn
 
@@ -117,7 +117,7 @@ class TestMetrics:
         assert "events_ingested" in metrics.render()
 
     def test_latency_reservoir_is_bounded(self):
-        reservoir = LatencyReservoir(capacity=4)
+        reservoir = Histogram(capacity=4)
         for value in range(100):
             reservoir.record(float(value))
         assert reservoir.count == 100
