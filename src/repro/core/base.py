@@ -58,7 +58,8 @@ class GraphClassifierBase(Module):
     #: True when :meth:`embed_batch` packs a whole minibatch into one
     #: block-diagonal mega-plan (see :mod:`repro.graph.megaplan`); the
     #: trainer folds its accumulate-then-average loop into a single
-    #: batched forward/backward for such models.
+    #: batched forward/backward for such models.  Scoring takes
+    #: :meth:`forward_batch` for every model either way.
     SUPPORTS_MEGABATCH = False
 
     def __init__(self, embedding_dim: int, rng: np.random.Generator | None = None):
@@ -75,14 +76,13 @@ class GraphClassifierBase(Module):
     ) -> Tensor:
         """Graph embeddings of a minibatch — shape ``(B, embedding_dim)``.
 
-        Mega-batch-capable subclasses (``SUPPORTS_MEGABATCH = True``)
-        override this with a single block-diagonal pass equivalent to
-        ``B`` calls of :meth:`embed` (including rng-stream consumption,
-        so tie shuffling stays bit-compatible with the per-graph path).
+        The default stacks ``B`` per-graph :meth:`embed` calls in batch
+        order.  Mega-batch-capable subclasses (``SUPPORTS_MEGABATCH =
+        True``) override this with a single block-diagonal pass
+        equivalent to those calls (including rng-stream consumption, so
+        tie shuffling stays bit-compatible with the per-graph path).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement mega-batched embedding"
-        )
+        return ops.stack([self.embed(graph, rng=rng) for graph in graphs])
 
     def forward_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None

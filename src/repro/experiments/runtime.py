@@ -4,7 +4,8 @@ The paper plots per-graph running time (microseconds) against F1 for
 TP-GNN and the four continuous baselines on four datasets; models
 closer to the top-left (fast + accurate) are better.  The reproduction
 measures inference wall-clock per graph on the test split after
-training at the configured scale.
+training at the configured scale, scoring in no-grad batches (see
+:func:`~repro.training.trainer.inference_time_per_graph`).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from repro.training.metrics import Metrics, MetricSummary, compute_metrics, roc_auc
 from repro.training.trainer import (
+    SCORE_WIDTH,
     TrainConfig,
     TrainResult,
     evaluate,
@@ -9,6 +10,7 @@ from repro.training.trainer import (
     load_train_state,
     run_trials,
     save_train_state,
+    score_logits,
     train_model,
     trial_seed,
 )
@@ -22,6 +24,8 @@ __all__ = [
     "TrainResult",
     "train_model",
     "evaluate",
+    "score_logits",
+    "SCORE_WIDTH",
     "inference_time_per_graph",
     "run_trials",
     "trial_seed",
