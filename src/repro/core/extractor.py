@@ -28,10 +28,10 @@ from repro.nn import GRU, Module
 from repro.tensor import Tensor, is_grad_enabled, ops
 
 #: Padded ``(step, member)`` slots per time slice of a no-grad
-#: :meth:`GlobalTemporalExtractor.forward_mega` scan.  The fused GRU
-#: saves ~2.3 KB of BPTT activations per slot whether or not a tape is
-#: recorded, so a whole-grid scan of a wide scoring pass would hold tens
-#: of MB; slicing keeps that to one slice (~0.7 MB with edge rows).
+#: :meth:`GlobalTemporalExtractor.forward_mega` scan.  A whole-grid scan
+#: of a wide scoring pass would hold the edge-row grid, the fused GRU's
+#: input projection and every step's output for all slots at once;
+#: slicing keeps that to one slice.
 _NO_GRAD_SCAN_SLOTS = 256
 
 

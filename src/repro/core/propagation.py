@@ -17,12 +17,15 @@ Two execution engines share the recurrence:
 * ``"wave"`` (default) — the edge list is partitioned into *waves*
   (see :mod:`repro.graph.plan`): maximal chronological runs in which no
   edge reads a node row written earlier in the same wave and no two
-  edges write the same target.  Each wave executes as one batched
-  gather → update → scatter kernel over the ``(n, q)`` node-state
-  matrix, with all edge-time embeddings computed in a single Time2Vec
-  call up front.  Within a wave every edge sees exactly the states the
-  per-edge recurrence would have shown it, so the result matches the
-  fold to machine precision (property-tested).
+  edges write the same target.  The whole wave schedule runs as ONE
+  autograd node — :func:`~repro.tensor.ops.sum_wave_scan` or
+  :func:`~repro.tensor.ops.gru_wave_scan` — that updates one copy of
+  the ``(n, q)`` node-state matrix wave by wave on raw arrays and
+  back-propagates with a hand-written reverse sweep over the waves; all
+  edge-time embeddings come from a single Time2Vec call up front.
+  Within a wave every edge sees exactly the states the per-edge
+  recurrence would have shown it, so the result matches the fold to
+  machine precision (property-tested).
 * ``"per-edge"`` — the literal fold of :meth:`step` over the
   chronological edges: the reference semantics.  The online-serving
   kernel (:mod:`repro.serve.incremental`) runs the same step on raw
@@ -42,9 +45,8 @@ an incremental API:
   array form of the state.
 
 State lives in a single ``(n, q)`` matrix tensor per session (not one
-tensor per node): reads are row gathers, writes are in-place row
-assignments when no tape is recording and functional
-:func:`~repro.tensor.ops.scatter_rows` nodes when gradients are needed.
+tensor per node).  In the per-edge fold, reads are row gathers and
+writes go through :meth:`TemporalPropagationBase._write_rows`.
 """
 
 from __future__ import annotations
@@ -273,10 +275,10 @@ class TemporalPropagationBase(Module):
     def forward_mega(self, mega: MegaPlan, engine: str | None = None) -> Tensor:
         """Node embeddings of a whole minibatch — one packed ``(Σn, k)`` matrix.
 
-        Executes the block-diagonal plan over one shared state matrix:
-        each merged wave is a single gather → update → scatter kernel
-        covering wave ``k`` of every member graph.  Members are
-        node-disjoint, so the result rows equal the per-graph
+        Executes the block-diagonal plan over one shared state matrix
+        in one fused scan: merged wave ``k`` updates wave ``k`` of every
+        member graph at once.  Members are node-disjoint, so the result
+        rows equal the per-graph
         :meth:`forward` outputs exactly (slice with
         :meth:`~repro.graph.megaplan.MegaPlan.member_node_slice`).
 
@@ -469,28 +471,25 @@ class TemporalPropagationSum(TemporalPropagationBase):
         state.updates += 1
 
     def _run_waves(self, state: SumPropagationState, plan: PropagationPlan) -> None:
-        """Batched SUM kernel: gather both endpoints, merge, scatter."""
+        """Whole-plan SUM kernel: one fused scan plus one segment sum.
+
+        The time memory (Eq. 4) is a plain in-order running sum, so it
+        is one :func:`~repro.tensor.ops.segment_sum` of the edge-time
+        embeddings into the destination rows — ``np.add.at`` adds in
+        index order, which reproduces the per-edge sums bit for bit.
+        """
         if plan.num_edges == 0:
             return
         if state.origin is None:
             state.origin = float(plan.times[0])
+        state.node_state = ops.sum_wave_scan(
+            state.node_state, plan.src, plan.dst, plan.wave_bounds, self.stabilizer
+        )
         encodings = self._batched_time_encodings(plan, state.origin)
-        features = state.node_state
-        memory = state.time_state
-        for start, end in plan.waves():
-            src = plan.src[start:end]
-            dst = plan.dst[start:end]
-            merged = self._stabilize(
-                ops.index_rows(features, src) + ops.index_rows(features, dst)
-            )
-            features = self._write_rows(features, dst, merged)
-            if encodings is not None:
-                memory = self._write_rows(
-                    memory, dst, encodings[start:end] + ops.index_rows(memory, dst)
-                )
-        state.node_state = features
         if encodings is not None:
-            state.time_state = memory
+            state.time_state = state.time_state + ops.segment_sum(
+                encodings, plan.dst, state.num_nodes
+            )
             state.time_touched[plan.dst] = True
         state.updates += plan.num_edges
 
@@ -543,7 +542,8 @@ class TemporalPropagationGRU(TemporalPropagationBase):
     edge-time embedding into the target's hidden state, letting the
     model selectively retain information from influential nodes across
     long interaction sequences.  The wave engine feeds a whole wave of
-    messages through :class:`~repro.nn.GRUCell` as one batch.
+    messages through the :class:`~repro.nn.GRUCell` update as one batch,
+    inside the fused :func:`~repro.tensor.ops.gru_wave_scan`.
     """
 
     def __init__(
@@ -587,22 +587,21 @@ class TemporalPropagationGRU(TemporalPropagationBase):
         state.updates += 1
 
     def _run_waves(self, state: GruPropagationState, plan: PropagationPlan) -> None:
-        """Batched GRU kernel: one cell invocation per wave."""
+        """Whole-plan GRU kernel: one fused scan over every wave."""
         if plan.num_edges == 0:
             return
         if state.origin is None:
             state.origin = float(plan.times[0])
-        encodings = self._batched_time_encodings(plan, state.origin)
-        hidden = state.node_state
-        for start, end in plan.waves():
-            message = ops.index_rows(hidden, plan.src[start:end])
-            if encodings is not None:
-                message = ops.concat([message, encodings[start:end]], axis=1)
-            target = ops.index_rows(hidden, plan.dst[start:end])
-            hidden = self._write_rows(
-                hidden, plan.dst[start:end], self.cell(message, target)
-            )
-        state.node_state = hidden
+        state.node_state = ops.gru_wave_scan(
+            state.node_state,
+            plan.src,
+            plan.dst,
+            plan.wave_bounds,
+            self.cell.weight_ih,
+            self.cell.weight_hh,
+            self.cell.bias,
+            self._batched_time_encodings(plan, state.origin),
+        )
         state.updates += plan.num_edges
 
     def node_embedding(self, state: GruPropagationState, node: int) -> Tensor:

@@ -7,17 +7,17 @@ Disjoint graphs compose freely: offsetting each member's node ids into
 one shared index space yields a block-diagonal system in which wave
 ``k`` of the mega-plan is simply the concatenation of wave ``k`` of
 every member.  No edge of one member can read or write another member's
-state rows, so executing the merged wave as one gather → update →
-scatter kernel over the shared ``(Σn, q)`` state matrix is exactly the
-per-graph recurrence run in parallel — same semantics, ``B``-fold fewer
-kernel launches.
+state rows, so executing the merged wave as one batched update of the
+shared ``(Σn, q)`` state matrix is exactly the per-graph recurrence run
+in parallel — same semantics, ``B``-fold fewer wave steps.
 
 A :class:`MegaPlan` quacks like a
 :class:`~repro.graph.plan.PropagationPlan` where it matters to the
 propagation engines — ``src``/``dst``/``times`` in merged-wave order
-plus ``wave_bounds``/``waves()``/``num_edges`` — so
-:meth:`~repro.core.propagation.TemporalPropagationBase._run_waves`
-executes it verbatim.  On top it carries the offset tables
+plus ``wave_bounds``/``waves()``/``num_edges`` — so the fused wave-scan
+ops (:func:`~repro.tensor.ops.sum_wave_scan`,
+:func:`~repro.tensor.ops.gru_wave_scan`) run it as one tape node per
+minibatch, exactly as they run a single graph's plan.  On top it carries the offset tables
 (:attr:`~BatchLayout.node_offsets` / :attr:`~BatchLayout.edge_offsets`),
 the member-major chronological endpoint arrays the global extractor
 consumes, and per-node member ids for batched segment readouts.

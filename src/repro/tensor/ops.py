@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _ensure_tensor, _unbroadcast
+from repro.tensor.tensor import Tensor, _ensure_tensor, _unbroadcast, is_grad_enabled
 
 # ----------------------------------------------------------------------
 # Elementwise arithmetic
@@ -406,9 +406,9 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 def index_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows ``a[indices]`` with scatter-add backward.
 
-    The wave-scheduled propagation engine's read kernel: one call pulls
-    every source/target row of a wave out of the ``(n, q)`` node-state
-    matrix.  ``indices`` is a constant integer array; duplicate indices
+    One call pulls every indexed row out of a matrix (e.g. the
+    extractor's edge endpoints from the node-embedding matrix).
+    ``indices`` is a constant integer array; duplicate indices
     accumulate gradient into the same row.
     """
     idx = np.asarray(indices, dtype=np.int64)
@@ -425,11 +425,10 @@ def index_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 def scatter_rows(a: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
     """Out-of-place row write: a copy of ``a`` with ``result[indices] = rows``.
 
-    The wave-scheduled propagation engine's write kernel.  ``indices``
-    must be unique — the wave scheduler guarantees no two edges of a
-    wave write the same destination, and duplicate writes would make
-    the backward pass ill-defined (last-write-wins has no gradient for
-    the overwritten rows).
+    The per-edge propagation fold's on-tape row write.  ``indices``
+    must be unique — duplicate writes would make the backward pass
+    ill-defined (last-write-wins has no gradient for the overwritten
+    rows).
 
     Backward: the written rows' upstream gradient flows to ``rows``;
     the remaining rows' gradient flows through to ``a``.
@@ -510,58 +509,44 @@ def gru_sequence(
     backward pass as a hand-written BPTT loop.  Replacing the ~20 tape
     nodes per step of the op-by-op cell with a single node is what makes
     the global extractor's per-edge GRU affordable on long sequences.
+    The BPTT activations are kept only when a tape records.
 
     Gate layout matches ``GRUCell``: columns ``[z | r | n]`` in the
     fused ``(·, 3H)`` weight matrices.
     """
+    parents = (sequence, h0, weight_ih, weight_hh, bias)
     steps, batch, in_size = sequence.shape
-    hidden = weight_hh.shape[0]
-    H = hidden
+    H = weight_hh.shape[0]
     x = sequence.data
     W, U, b = weight_ih.data, weight_hh.data, bias.data
+    record = _records(parents)
 
-    # Input projection for every step at once.
-    gates_x = (x.reshape(steps * batch, in_size) @ W + b).reshape(steps, batch, 3 * H)
+    # Input projection for every step at once (bias added in place).
+    gates_x = (x.reshape(steps * batch, in_size) @ W).reshape(steps, batch, 3 * H)
+    gates_x += b
 
     h = h0.data
     outputs = np.empty((steps, batch, H))
-    # Saved activations for BPTT.
-    h_prev = np.empty((steps, batch, H))
-    z_all = np.empty((steps, batch, H))
-    r_all = np.empty((steps, batch, H))
-    n_all = np.empty((steps, batch, H))
-    ghn_all = np.empty((steps, batch, H))
+    if record:
+        saved = np.empty((5, steps, batch, H))  # h_prev, z, r, n, ghn
     for t in range(steps):
-        gh = h @ U
-        gx = gates_x[t]
-        z = _stable_sigmoid(gx[:, 0:H] + gh[:, 0:H])
-        r = _stable_sigmoid(gx[:, H : 2 * H] + gh[:, H : 2 * H])
-        ghn = gh[:, 2 * H : 3 * H]
-        n = np.tanh(gx[:, 2 * H : 3 * H] + r * ghn)
-        h_prev[t] = h
-        z_all[t], r_all[t], n_all[t], ghn_all[t] = z, r, n, ghn
-        h = z * h + (1.0 - z) * n
-        outputs[t] = h
+        h_next, *acts = _gru_gates(gates_x[t], h, U)
+        if record:
+            saved[:, t] = (h, *acts)
+        h = outputs[t] = h_next
+    if not record:
+        return Tensor(outputs)
+    h_prev, z_all, r_all, n_all, ghn_all = saved
 
     def backward(grad):
         d_gx = np.empty((steps, batch, 3 * H))
         dU = np.zeros_like(U)
         carry = np.zeros((batch, H))
         for t in range(steps - 1, -1, -1):
-            dh = grad[t] + carry
-            z, r, n, ghn, hp = z_all[t], r_all[t], n_all[t], ghn_all[t], h_prev[t]
-            dz = dh * (hp - n)
-            dn_pre = dh * (1.0 - z) * (1.0 - n**2)
-            dr = dn_pre * ghn
-            dghn = dn_pre * r
-            dz_pre = dz * z * (1.0 - z)
-            dr_pre = dr * r * (1.0 - r)
-            d_gx[t, :, 0:H] = dz_pre
-            d_gx[t, :, H : 2 * H] = dr_pre
-            d_gx[t, :, 2 * H : 3 * H] = dn_pre
-            d_gh = np.concatenate([dz_pre, dr_pre, dghn], axis=1)
-            dU += hp.T @ d_gh
-            carry = dh * z + d_gh @ U.T
+            d_gx[t], d_gh, carry = _gru_gates_adjoint(
+                grad[t] + carry, h_prev[t], z_all[t], r_all[t], n_all[t], ghn_all[t], U
+            )
+            dU += h_prev[t].T @ d_gh
         d_gx_flat = d_gx.reshape(steps * batch, 3 * H)
         x_flat = x.reshape(steps * batch, in_size)
         return (
@@ -572,9 +557,192 @@ def gru_sequence(
             d_gx_flat.sum(axis=0),
         )
 
-    return Tensor.from_op(
-        outputs, (sequence, h0, weight_ih, weight_hh, bias), backward
-    )
+    return Tensor.from_op(outputs, parents, backward)
+
+
+def sum_wave_scan(
+    state: Tensor,
+    src: np.ndarray,
+    dst: np.ndarray,
+    wave_bounds: np.ndarray,
+    stabilizer: str = "bounded",
+) -> Tensor:
+    """Run a whole SUM-updater wave schedule as ONE autograd node.
+
+    ``state`` is the ``(n, q)`` node-feature matrix; edge ``i`` of the
+    schedule merges row ``src[i]`` into row ``dst[i]``::
+
+        X(dst) := stabilize(X(src) + X(dst))
+
+    with ``stabilize`` one of ``"bounded"`` (``tanh``), ``"average"``
+    (``· / 2``) or ``"none"``.  ``wave_bounds`` splits the edges into
+    waves (see :mod:`repro.graph.plan`): within a wave every edge reads
+    the pre-wave state and no two edges share a destination, so each
+    wave is one gather → merge → in-place row write on a single copy of
+    ``state``.
+
+    Backward is a reverse sweep over the waves.  Per wave, the upstream
+    rows of the destinations are pulled through the stabilizer, become
+    the gradient of the pre-wave destination rows, and are then
+    scatter-added into the source rows (sources may repeat, and a source
+    may be a later edge's destination in the same wave).  Only the
+    ``bounded`` stabilizer keeps activations (its ``tanh`` outputs), and
+    only when a tape records.
+    """
+    if stabilizer not in ("bounded", "average", "none"):
+        raise KeyError(f"unknown stabilizer {stabilizer!r}")
+    record = _records((state,))
+    waves = _wave_slices(wave_bounds)
+    out = state.data.copy()
+    saved = np.empty((src.shape[0], out.shape[1])) if record and stabilizer == "bounded" else None
+    for start, end in waves:
+        dst_w = dst[start:end]
+        merged = out[src[start:end]] + out[dst_w]
+        if stabilizer == "bounded":
+            merged = np.tanh(merged)
+            if saved is not None:
+                saved[start:end] = merged
+        elif stabilizer == "average":
+            merged = merged * 0.5
+        out[dst_w] = merged
+    if not record:
+        return Tensor(out)
+
+    def backward(grad):
+        G = grad.copy()
+        for start, end in reversed(waves):
+            dst_w = dst[start:end]
+            d_merged = G[dst_w]
+            if saved is not None:
+                d_merged *= 1.0 - saved[start:end] ** 2
+            elif stabilizer == "average":
+                d_merged *= 0.5
+            G[dst_w] = d_merged
+            np.add.at(G, src[start:end], d_merged)
+        return (G,)
+
+    return Tensor.from_op(out, (state,), backward)
+
+
+def gru_wave_scan(
+    state: Tensor,
+    src: np.ndarray,
+    dst: np.ndarray,
+    wave_bounds: np.ndarray,
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias: Tensor,
+    encodings: Tensor | None = None,
+) -> Tensor:
+    """Run a whole GRU-updater wave schedule as ONE autograd node.
+
+    ``state`` is the ``(n, H)`` hidden-state matrix; edge ``i`` feeds the
+    message ``x = h(src[i]) ⊕ encodings[i]`` (just ``h(src[i])`` when
+    ``encodings`` is None) through the :class:`repro.nn.GRUCell` update
+    of row ``dst[i]`` — the same gate math as :func:`gru_sequence`, one
+    batched cell step per wave (``wave_bounds`` as in
+    :func:`sum_wave_scan`).
+
+    Per-edge messages, pre-update target rows and gate activations are
+    kept only when a tape records.  Backward is a reverse sweep over the
+    waves: each wave's destination-row gradient runs through the gate
+    adjoint, the ``dh_prev`` part replaces the destination rows and the
+    source part of ``dx`` is scatter-added into the source rows.  The
+    weight, bias and per-edge encoding gradients are formed once from
+    the stacked per-edge gate gradients after the sweep.
+    """
+    parents = (state, weight_ih, weight_hh, bias)
+    if encodings is not None:
+        parents += (encodings,)
+    record = _records(parents)
+    waves = _wave_slices(wave_bounds)
+    W, U, b = weight_ih.data, weight_hh.data, bias.data
+    H = U.shape[0]
+    enc = encodings.data if encodings is not None else None
+    m = src.shape[0]
+    out = state.data.copy()
+    if record:
+        messages = np.empty((m, W.shape[0]))
+        saved = np.empty((5, m, H))  # h_prev, z, r, n, ghn
+    for start, end in waves:
+        dst_w = dst[start:end]
+        x = out[src[start:end]]
+        if enc is not None:
+            x = np.concatenate([x, enc[start:end]], axis=1)
+        target = out[dst_w]
+        out[dst_w], *acts = _gru_gates(x @ W + b, target, U)
+        if record:
+            messages[start:end] = x
+            saved[:, start:end] = (target, *acts)
+    if not record:
+        return Tensor(out)
+    h_prev, z_all, r_all, n_all, ghn_all = saved
+
+    def backward(grad):
+        G = grad.copy()
+        d_gx = np.empty((m, 3 * H))
+        d_gh = np.empty((m, 3 * H))
+        W_src_T = W[:H].T
+        for start, end in reversed(waves):
+            dst_w = dst[start:end]
+            d_gx[start:end], d_gh[start:end], G[dst_w] = _gru_gates_adjoint(
+                G[dst_w],
+                h_prev[start:end],
+                z_all[start:end],
+                r_all[start:end],
+                n_all[start:end],
+                ghn_all[start:end],
+                U,
+            )
+            np.add.at(G, src[start:end], d_gx[start:end] @ W_src_T)
+        grads = (G, messages.T @ d_gx, h_prev.T @ d_gh, d_gx.sum(axis=0))
+        if enc is not None:
+            grads += (d_gx @ W[H:].T,)
+        return grads
+
+    return Tensor.from_op(out, parents, backward)
+
+
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` is recorded on the tape."""
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
+def _wave_slices(wave_bounds: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open ``(start, end)`` edge slices of each wave."""
+    bounds = np.asarray(wave_bounds).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _gru_gates(gx: np.ndarray, h: np.ndarray, U: np.ndarray):
+    """One GRU step from the input projection ``gx = x W + b``.
+
+    Returns ``(h_next, z, r, n, ghn)``; the last four are the
+    activations :func:`_gru_gates_adjoint` needs.
+    """
+    H = h.shape[1]
+    gh = h @ U
+    z = _stable_sigmoid(gx[:, 0:H] + gh[:, 0:H])
+    r = _stable_sigmoid(gx[:, H : 2 * H] + gh[:, H : 2 * H])
+    ghn = gh[:, 2 * H : 3 * H]
+    n = np.tanh(gx[:, 2 * H : 3 * H] + r * ghn)
+    return z * h + (1.0 - z) * n, z, r, n, ghn
+
+
+def _gru_gates_adjoint(dh, h, z, r, n, ghn, U):
+    """Adjoint of :func:`_gru_gates` for upstream gradient ``dh``.
+
+    Returns ``(d_gx, d_gh, dh_prev)``: the gradients of the input
+    projection and of the hidden projection ``h U`` (both ``(·, 3H)``),
+    and of the previous hidden state.
+    """
+    dz = dh * (h - n)
+    dn_pre = dh * (1.0 - z) * (1.0 - n**2)
+    dz_pre = dz * z * (1.0 - z)
+    dr_pre = dn_pre * ghn * r * (1.0 - r)
+    d_gx = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
+    d_gh = np.concatenate([dz_pre, dr_pre, dn_pre * r], axis=1)
+    return d_gx, d_gh, dh * z + d_gh @ U.T
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
